@@ -3,23 +3,28 @@
 All three baselines (PER / SEA / CPM) use the same *communication*
 pattern — every object streams its exact position to the server every
 tick — and differ only in server-side evaluation cost. This module
-provides the per-tick reporter node and the server base that ingests
-the stream, keeps an exact grid, tracks per-tick movements, and pushes
-answers to focal nodes; subclasses implement ``_process``.
+provides the per-tick reporter node, the server base that ingests the
+stream, keeps an exact grid, tracks per-tick movements, and pushes
+answers to focal nodes (subclasses implement ``_process`` and
+``_process_entries``), the answer-region dirty tracking SEA and CPM
+share (they differ only in ``_repair``), and the one system builder
+all three use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.protocol import AnswerPush, LocationUpdate
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.grid import UniformGrid
+from repro.metrics.cost import CostMeter
+from repro.net.faults import FaultPlan
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import MobileNode
 from repro.net.plane import ColumnarBatch
-from repro.net.simulator import ClientPhase
+from repro.net.simulator import ClientPhase, RoundSimulator
 from repro.server.engine import BaseServer
 from repro.server.query_table import QuerySpec
 
@@ -27,7 +32,9 @@ __all__ = [
     "ReporterNode",
     "ReporterPhase",
     "CentralizedServerBase",
+    "AnswerRegionServer",
     "BatchUpdates",
+    "build_centralized_system",
 ]
 
 
@@ -140,19 +147,6 @@ class BatchUpdates:
         self.old_cell = old_cell
         self.new_cell = new_cell
 
-    def expand(self) -> List[
-        Tuple[int, Optional[Tuple[float, float]], Tuple[float, float]]
-    ]:
-        """The scalar ``(oid, old, new)`` tuples this batch replaced."""
-        out = []
-        known = self.known.tolist()
-        ox, oy = self.old_x.tolist(), self.old_y.tolist()
-        nx, ny = self.new_x.tolist(), self.new_y.tolist()
-        for i, oid in enumerate(self.oids.tolist()):
-            old = (ox[i], oy[i]) if known[i] else None
-            out.append((oid, old, (nx[i], ny[i])))
-        return out
-
 
 class CentralizedServerBase(BaseServer):
     """Ingests the per-tick position stream; subclasses evaluate queries."""
@@ -230,27 +224,20 @@ class CentralizedServerBase(BaseServer):
         self._processed_tick = tick
         entries = self._updates
         self._updates = []
-        if any(type(e) is BatchUpdates for e in entries):
-            if self._process_entries(tick, entries):
-                return
-            expanded: List = []
-            for e in entries:
-                if type(e) is BatchUpdates:
-                    expanded.extend(e.expand())
-                else:
-                    expanded.append(e)
-            entries = expanded
-        self._process(tick, entries)
+        if self.grid._dense:
+            self._process_entries(tick, entries)
+        else:
+            self._process(tick, entries)
 
-    def _process_entries(self, tick: int, entries: List) -> bool:
-        """Evaluate the tick directly from the mixed update log.
+    def _process_entries(self, tick: int, entries: List) -> None:
+        """Evaluate the tick over the dense grid (fast builds).
 
-        ``entries`` holds scalar ``(oid, old, new)`` tuples and
-        :class:`BatchUpdates` records in arrival order. Return True to
-        claim the tick; the default declines, and the caller expands
-        the batches into tuples for the scalar :meth:`_process`.
+        ``entries`` holds scalar ``(oid, old, new)`` tuples (plane
+        vetoed) and :class:`BatchUpdates` records in arrival order;
+        the result must be bit-identical to :meth:`_process` over the
+        same updates as tuples.
         """
-        return False
+        raise NotImplementedError
 
     def _process(
         self,
@@ -259,7 +246,7 @@ class CentralizedServerBase(BaseServer):
             Tuple[int, Optional[Tuple[float, float]], Tuple[float, float]]
         ],
     ) -> None:
-        """Evaluate all queries for this tick (subclass responsibility)."""
+        """Evaluate all queries for this tick: the scalar reference."""
         raise NotImplementedError
 
     # -- answer delivery --------------------------------------------------------
@@ -285,3 +272,167 @@ class CentralizedServerBase(BaseServer):
         if spec.focal_oid not in self.grid:
             return None
         return self.grid.position_of(spec.focal_oid)
+
+
+class AnswerRegionServer(CentralizedServerBase):
+    """Answer-region dirty tracking shared by SEA and CPM.
+
+    Each query's *answer region* is the circle of radius ``d_k`` around
+    its focal point; a cell-to-queries index over it tells, per moved
+    object, which queries its old or new cell could affect. Each tick
+    only *dirty* queries — never evaluated, focal moved, or a moved
+    object touched their region — are handed to :meth:`_repair`, in
+    ascending qid order so the repair (and answer-push) order is a
+    function of the dirty *set*, not of how the update log built it.
+    """
+
+    def __init__(
+        self,
+        universe: Rect,
+        grid_cells: int = 32,
+        record_history: bool = False,
+    ) -> None:
+        super().__init__(universe, grid_cells, record_history=record_history)
+        #: qid -> cells currently covered by the query's answer region.
+        self._region_cells: Dict[int, Set[Tuple[int, int]]] = {}
+        #: cell -> qids whose answer region covers it.
+        self._cell_map: Dict[Tuple[int, int], Set[int]] = {}
+
+    def _set_region(self, qid: int, qx: float, qy: float, d_k: float) -> None:
+        new_cells = set(self.grid.cells_intersecting_circle(qx, qy, d_k))
+        old_cells = self._region_cells.get(qid, set())
+        for cell in old_cells - new_cells:
+            members = self._cell_map[cell]
+            members.discard(qid)
+            if not members:
+                del self._cell_map[cell]
+        for cell in new_cells - old_cells:
+            self._cell_map.setdefault(cell, set()).add(qid)
+        self._region_cells[qid] = new_cells
+        self.meter.charge(CostMeter.BOOKKEEPING, len(new_cells ^ old_cells))
+
+    def _install(
+        self,
+        spec: QuerySpec,
+        qx: float,
+        qy: float,
+        result: List[Tuple[float, int]],
+    ) -> None:
+        """Re-index the answer region of a fresh result and publish it."""
+        d_k = result[-1][0] if result else 0.0
+        self._set_region(spec.qid, qx, qy, d_k)
+        self.publish_and_push(spec, [oid for _, oid in result])
+
+    def _repair(self, spec: QuerySpec) -> None:
+        """Re-evaluate one dirty query (subclass responsibility)."""
+        raise NotImplementedError
+
+    def _seed_dirty(self) -> Set[int]:
+        """Queries never evaluated yet are always dirty."""
+        return {
+            spec.qid for spec in self.queries
+            if spec.qid not in self._region_cells
+        }
+
+    def _mark_dirty(self, dirty: Set[int], oid: int, old, new) -> None:
+        """Dirty the queries one scalar ``(oid, old, new)`` report affects."""
+        if old == new:
+            return  # a parked object cannot affect any answer
+        dirty.update(self.queries.queries_of_focal(oid))
+        self.meter.charge(CostMeter.BOOKKEEPING)
+        if old is not None:
+            dirty.update(self._cell_map.get(self.grid.cell_of(*old), ()))
+        dirty.update(self._cell_map.get(self.grid.cell_of(*new), ()))
+
+    def _repair_dirty(self, dirty: Set[int]) -> None:
+        for qid in sorted(dirty):
+            self._repair(self.queries.get(qid))
+
+    def _process(self, tick, updates) -> None:
+        dirty = self._seed_dirty()
+        for oid, old, new in updates:
+            self._mark_dirty(dirty, oid, old, new)
+        self._repair_dirty(dirty)
+
+    def _process_entries(self, tick, entries) -> None:
+        """Vectorized dirty detection over columnar update batches.
+
+        Per batched report the scalar path would: mark focal queries
+        dirty if the position changed (or the object is new), charge
+        one BOOKKEEPING per changed report, and mark every query whose
+        answer region intersects the old or the new cell. All of that
+        reduces to masks over the batch columns plus a lookup of the
+        (few) distinct touched cells in ``_cell_map``.
+        """
+        import numpy as np
+
+        dirty = self._seed_dirty()
+        cells = self.grid.cells
+        cell_map = self._cell_map
+        focals = [(spec.focal_oid, spec.qid) for spec in self.queries]
+        for e in entries:
+            if type(e) is not BatchUpdates:
+                self._mark_dirty(dirty, *e)
+                continue
+            moved = ~e.known | (e.old_x != e.new_x) | (e.old_y != e.new_y)
+            if e.oids.shape[0] and focals:
+                # Focal objects are few; locate each in the (ascending
+                # oid) batch instead of scanning the batch for them.
+                oids = e.oids
+                n = oids.shape[0]
+                for foid, qid in focals:
+                    i = int(np.searchsorted(oids, foid))
+                    if i < n and oids[i] == foid and moved[i]:
+                        dirty.add(qid)
+            n_moved = int(np.count_nonzero(moved))
+            if not n_moved:
+                continue
+            self.meter.charge(CostMeter.BOOKKEEPING, n_moved)
+            if cell_map:
+                touched = np.unique(
+                    np.concatenate(
+                        (
+                            e.old_cell[moved & e.known],
+                            e.new_cell[moved],
+                        )
+                    )
+                )
+                for lin in touched.tolist():
+                    qids = cell_map.get((lin // cells, lin % cells))
+                    if qids:
+                        dirty.update(qids)
+        self._repair_dirty(dirty)
+
+
+def build_centralized_system(
+    server: CentralizedServerBase,
+    fleet,
+    specs: Sequence[QuerySpec],
+    latency: str,
+    faults: Optional[FaultPlan],
+    fast: bool,
+    telemetry,
+) -> RoundSimulator:
+    """Register ``specs`` on ``server`` and wire one reporter per object.
+
+    ``fast=True`` makes the grid dense (the vectorized
+    ``_process_entries`` route) and ships each tick's report stream as
+    one columnar ``TICK_REPORT`` batch through :class:`ReporterPhase`.
+    """
+    for spec in specs:
+        server.register_query(spec)
+    mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
+    phase = None
+    if fast:
+        phase = ReporterPhase()
+        server.grid.enable_dense(fleet.n)
+        server.columnar = True
+    return RoundSimulator(
+        fleet,
+        server,
+        mobiles,
+        latency=latency,
+        faults=faults,
+        client_phase=phase,
+        telemetry=telemetry,
+    )

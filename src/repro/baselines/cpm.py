@@ -19,14 +19,9 @@ actually invalidated, rather than re-walking the search space.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.common import (
-    BatchUpdates,
-    CentralizedServerBase,
-    ReporterNode,
-    ReporterPhase,
-)
+from repro.baselines.common import AnswerRegionServer, build_centralized_system
 from repro.geometry import Rect
 from repro.index.knn import knn_search, range_search
 from repro.metrics.cost import CostMeter
@@ -37,7 +32,7 @@ from repro.server.query_table import QuerySpec
 __all__ = ["CpmServer", "build_cpm_system"]
 
 
-class CpmServer(CentralizedServerBase):
+class CpmServer(AnswerRegionServer):
     """Answer-region dirty tracking + bounded incremental repair."""
 
     def __init__(
@@ -47,23 +42,8 @@ class CpmServer(CentralizedServerBase):
         record_history: bool = False,
     ) -> None:
         super().__init__(universe, grid_cells, record_history=record_history)
-        self._region_cells: Dict[int, Set[Tuple[int, int]]] = {}
-        self._cell_map: Dict[Tuple[int, int], Set[int]] = {}
         #: qid -> current answer as ascending (distance, oid).
         self._answer: Dict[int, List[Tuple[float, int]]] = {}
-
-    def _set_region(self, qid: int, qx: float, qy: float, d_k: float) -> None:
-        new_cells = set(self.grid.cells_intersecting_circle(qx, qy, d_k))
-        old_cells = self._region_cells.get(qid, set())
-        for cell in old_cells - new_cells:
-            members = self._cell_map[cell]
-            members.discard(qid)
-            if not members:
-                del self._cell_map[cell]
-        for cell in new_cells - old_cells:
-            self._cell_map.setdefault(cell, set()).add(qid)
-        self._region_cells[qid] = new_cells
-        self.meter.charge(CostMeter.BOOKKEEPING, len(new_cells ^ old_cells))
 
     def _repair(self, spec: QuerySpec) -> None:
         focal = self.focal_position(spec)
@@ -105,104 +85,7 @@ class CpmServer(CentralizedServerBase):
                 self.grid, qx, qy, spec.k, exclude=exclude, meter=self.meter
             )
         self._answer[spec.qid] = list(result)
-        d_k = result[-1][0] if result else 0.0
-        self._set_region(spec.qid, qx, qy, d_k)
-        self.publish_and_push(spec, [oid for _, oid in result])
-
-    def _seed_dirty(self) -> Set[int]:
-        """Queries never evaluated yet are always dirty."""
-        dirty: Set[int] = set()
-        for spec in self.queries:
-            if spec.qid not in self._region_cells:
-                dirty.add(spec.qid)
-        return dirty
-
-    def _repair_dirty(self, dirty: Set[int]) -> None:
-        # Sorted so the repair (and answer-push) order is a function of
-        # the dirty *set*, not of how the update log happened to build
-        # it — the batched and scalar ingest paths agree by design.
-        for qid in sorted(dirty):
-            self._repair(self.queries.get(qid))
-
-    def _process(self, tick, updates) -> None:
-        dirty = self._seed_dirty()
-        for oid, old, new in updates:
-            for qid in self.queries.queries_of_focal(oid):
-                if old is None or old != new:
-                    dirty.add(qid)
-            if old == new:
-                continue
-            self.meter.charge(CostMeter.BOOKKEEPING)
-            if old is not None:
-                old_cell = self.grid.cell_of(old[0], old[1])
-                dirty.update(self._cell_map.get(old_cell, ()))
-            new_cell = self.grid.cell_of(new[0], new[1])
-            dirty.update(self._cell_map.get(new_cell, ()))
-        self._repair_dirty(dirty)
-
-    def _process_entries(self, tick, entries) -> bool:
-        """Vectorized dirty detection over columnar update batches.
-
-        Per batched report the scalar path would: mark focal queries
-        dirty if the position changed (or the object is new), charge
-        one BOOKKEEPING per changed report, and mark every query whose
-        answer region intersects the old or the new cell. All of that
-        reduces to masks over the batch columns plus a lookup of the
-        (few) distinct touched cells in ``_cell_map``.
-        """
-        import numpy as np
-
-        dirty = self._seed_dirty()
-        cells = self.grid.cells
-        cell_map = self._cell_map
-        focals = [
-            (spec.focal_oid, spec.qid)
-            for spec in self.queries
-        ]
-        for e in entries:
-            if type(e) is not BatchUpdates:
-                oid, old, new = e
-                for qid in self.queries.queries_of_focal(oid):
-                    if old is None or old != new:
-                        dirty.add(qid)
-                if old == new:
-                    continue
-                self.meter.charge(CostMeter.BOOKKEEPING)
-                if old is not None:
-                    old_cell = self.grid.cell_of(old[0], old[1])
-                    dirty.update(cell_map.get(old_cell, ()))
-                new_cell = self.grid.cell_of(new[0], new[1])
-                dirty.update(cell_map.get(new_cell, ()))
-                continue
-            moved = ~e.known | (e.old_x != e.new_x) | (e.old_y != e.new_y)
-            if e.oids.shape[0] and focals:
-                # Focal objects are few; locate each in the (ascending
-                # oid) batch instead of scanning the batch for them.
-                oids = e.oids
-                n = oids.shape[0]
-                for foid, qid in focals:
-                    i = int(np.searchsorted(oids, foid))
-                    if i < n and oids[i] == foid and moved[i]:
-                        dirty.add(qid)
-            n_moved = int(np.count_nonzero(moved))
-            if not n_moved:
-                continue
-            self.meter.charge(CostMeter.BOOKKEEPING, n_moved)
-            if cell_map:
-                touched = np.unique(
-                    np.concatenate(
-                        (
-                            e.old_cell[moved & e.known],
-                            e.new_cell[moved],
-                        )
-                    )
-                )
-                for lin in touched.tolist():
-                    qids = cell_map.get((lin // cells, lin % cells))
-                    if qids:
-                        dirty.update(qids)
-        self._repair_dirty(dirty)
-        return True
+        self._install(spec, qx, qy, result)
 
 
 def build_cpm_system(
@@ -224,20 +107,6 @@ def build_cpm_system(
     accounting, a fraction of the interpreter work.
     """
     server = CpmServer(fleet.universe, grid_cells, record_history=record_history)
-    for spec in specs:
-        server.register_query(spec)
-    mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
-    phase = None
-    if fast:
-        phase = ReporterPhase()
-        server.grid.enable_dense(fleet.n)
-        server.columnar = True
-    return RoundSimulator(
-        fleet,
-        server,
-        mobiles,
-        latency=latency,
-        faults=faults,
-        client_phase=phase,
-        telemetry=telemetry,
+    return build_centralized_system(
+        server, fleet, specs, latency, faults, fast, telemetry
     )

@@ -17,13 +17,15 @@ import heapq
 import math
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.baselines.common import (
     CentralizedServerBase,
-    ReporterNode,
-    ReporterPhase,
+    build_centralized_system,
 )
 from repro.errors import ProtocolError
 from repro.geometry import Rect
+from repro.index.bruteforce import _top_k
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
@@ -72,6 +74,35 @@ class PeriodicServer(CentralizedServerBase):
             answer = sorted((-nd, -noid) for nd, noid in best)
             self.publish_and_push(spec, [oid for _, oid in answer])
 
+    def _process_entries(self, tick, entries) -> None:
+        """The same full scan as one numpy top-k per query.
+
+        A function of the dense grid alone — the update log is never
+        read — so it serves batched and plane-vetoed ticks alike. Per
+        query: the shared ``sqrt(dx*dx + dy*dy)`` distances to every
+        live object but the focal, one DIST_CALC per eligible object
+        charged in bulk, and the oracle's ``(distance, oid)`` top-k.
+        """
+        if (tick - 1) % self.period != 0:
+            return
+        grid = self.grid
+        live = np.flatnonzero(grid._dcell >= 0)
+        xs = grid._dx[live]
+        ys = grid._dy[live]
+        for spec in self.queries:
+            focal = self.focal_position(spec)
+            if focal is None:
+                continue  # focal report lost so far; stale answer stands
+            qx, qy = focal
+            dx = xs - qx
+            dy = ys - qy
+            keep = live != spec.focal_oid
+            d = np.sqrt(dx * dx + dy * dy)[keep]
+            if d.shape[0]:
+                self.meter.charge(CostMeter.DIST_CALC, d.shape[0])
+            answer = _top_k(d, live[keep], spec.k)
+            self.publish_and_push(spec, [oid for _, oid in answer])
+
 
 def build_periodic_system(
     fleet,
@@ -87,27 +118,13 @@ def build_periodic_system(
     """Build a ready-to-run PER system.
 
     ``fast=True`` ships the per-tick report stream as one columnar
-    ``TICK_REPORT`` batch with a dense grid ingest; the O(N·Q) scan
-    itself stays the scalar spec (PER is the strawman — its server
-    cost *is* the result).
+    ``TICK_REPORT`` batch with a dense grid ingest and runs the O(N·Q)
+    scan as one numpy top-k per query over the dense grid — the same
+    answers, messages and DIST_CALC units as the scalar scan.
     """
     server = PeriodicServer(
         fleet.universe, grid_cells, period=period, record_history=record_history
     )
-    for spec in specs:
-        server.register_query(spec)
-    mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
-    phase = None
-    if fast:
-        phase = ReporterPhase()
-        server.grid.enable_dense(fleet.n)
-        server.columnar = True
-    return RoundSimulator(
-        fleet,
-        server,
-        mobiles,
-        latency=latency,
-        faults=faults,
-        client_phase=phase,
-        telemetry=telemetry,
+    return build_centralized_system(
+        server, fleet, specs, latency, faults, fast, telemetry
     )

@@ -100,7 +100,17 @@ def brute_knn_np(
     """Vectorized exact kNN; same contract and bits as the scalar form."""
     if k < 1:
         raise IndexError_(f"k must be >= 1, got {k}")
-    d, oids = _eligible_dists(positions, qx, qy, exclude)
+    return _top_k(*_eligible_dists(positions, qx, qy, exclude), k)
+
+
+def _top_k(
+    d: np.ndarray, oids: np.ndarray, k: int
+) -> List[Tuple[float, int]]:
+    """The ``k`` smallest ``(distance, oid)`` pairs, ascending.
+
+    The kernel behind :func:`brute_knn_np`, shared with PER's
+    vectorized scan so the oracle and the baseline run one engine.
+    """
     m = d.shape[0]
     if m == 0:
         return []
