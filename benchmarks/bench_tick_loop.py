@@ -1,4 +1,4 @@
-"""Benchmark: tick loop, scalar reference vs vectorized fast path.
+"""Benchmark: tick loop, scalar reference vs the vectorized path.
 
 Quick mode runs the CI-sized configuration; ``REPRO_BENCH_FULL=1`` runs
 the full ``tickbench`` suite (the one that produces ``BENCH_tick.json``
@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from benchmarks._common import FULL
 
-from repro.experiments.tickbench import SUITE, _make_spec, compare_tick_loop
+from repro.experiments.tickbench import (
+    SUITE,
+    VEC,
+    _make_spec,
+    compare_tick_loop,
+)
 
 
 def test_tick_loop_fast_vs_scalar(benchmark):
@@ -40,7 +45,7 @@ def test_tick_loop_fast_vs_scalar(benchmark):
         print(
             f"{row.get('config', 'quick'):<12} {row['algorithm']:<8} "
             f"scalar {row['scalar']['ms_per_tick']:>9.1f} ms/tick  "
-            f"fast {row['fast']['ms_per_tick']:>9.1f} ms/tick  "
+            f"vectorized {row[VEC]['ms_per_tick']:>9.1f} ms/tick  "
             f"speedup {row['speedup']:>6.2f}x"
         )
         benchmark.extra_info[

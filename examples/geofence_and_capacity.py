@@ -13,7 +13,7 @@ Run:  python examples/geofence_and_capacity.py
 """
 
 from repro.api import (
-    Fleet,
+    FastFleet,
     RandomWaypointModel,
     RangeQuerySpec,
     Rect,
@@ -35,7 +35,7 @@ FENCE = 1_200.0
 
 def geofence_demo() -> None:
     print("== part 1: moving geofence over couriers ==")
-    fleet = Fleet.from_model(
+    fleet = FastFleet.from_model(
         RandomWaypointModel(CITY, 20, 45), COURIERS + 1, seed=33
     )
     van = COURIERS

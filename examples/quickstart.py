@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.api import (
-    Fleet,
+    FastFleet,
     QuerySpec,
     RandomWaypointModel,
     Rect,
@@ -22,7 +22,7 @@ from repro.api import (
 
 def main() -> None:
     universe = Rect(0, 0, 10_000, 10_000)
-    fleet = Fleet.from_model(
+    fleet = FastFleet.from_model(
         RandomWaypointModel(universe, speed_min=25, speed_max=50),
         500,
         seed=7,

@@ -11,7 +11,7 @@ Run:  python examples/road_network_patrol.py
 
 from repro.api import (
     DknnParams,
-    Fleet,
+    FastFleet,
     QuerySpec,
     Rect,
     RoadNetworkModel,
@@ -30,7 +30,7 @@ def main() -> None:
         AREA, rows=10, cols=10, jitter=0.15, speed_min=30, speed_max=60, seed=5
     )
     # Supervisors drive the same streets: just more movers of the model.
-    fleet = Fleet.from_model(model, N_CARS + N_SUPERVISORS, seed=21)
+    fleet = FastFleet.from_model(model, N_CARS + N_SUPERVISORS, seed=21)
     queries = [
         QuerySpec(qid=i, focal_oid=N_CARS + i, k=4)
         for i in range(N_SUPERVISORS)

@@ -12,7 +12,7 @@ Run:  python examples/taxi_dispatch.py
 import random
 
 from repro.api import (
-    Fleet,
+    FastFleet,
     GaussianClusterModel,
     QuerySpec,
     RandomWaypointModel,
@@ -27,7 +27,7 @@ K = 5
 TICKS = 120
 
 
-def build_world(seed: int) -> Fleet:
+def build_world(seed: int) -> FastFleet:
     """Taxis cluster around hotspots (downtown, airport, ...); the
     rider walks at pedestrian speed."""
     taxis = GaussianClusterModel(
@@ -35,7 +35,7 @@ def build_world(seed: int) -> Fleet:
     )
     rider = RandomWaypointModel(CITY, speed_min=5, speed_max=12)
     rng = random.Random(seed)
-    return Fleet.from_model(
+    return FastFleet.from_model(
         taxis, N_TAXIS, seed=seed, extra_movers=[rider.make_mover(rng)]
     )
 

@@ -13,17 +13,19 @@ one communication pattern and differ in server evaluation cost.
 Quickstart::
 
     from repro import (
-        Rect, Fleet, RandomWaypointModel, QuerySpec,
+        Rect, FastFleet, RandomWaypointModel, QuerySpec,
         build_broadcast_system,
     )
 
     universe = Rect(0, 0, 10_000, 10_000)
-    fleet = Fleet.from_model(RandomWaypointModel(universe), 500, seed=7)
+    fleet = FastFleet.from_model(RandomWaypointModel(universe), 500, seed=7)
     queries = [QuerySpec(qid=0, focal_oid=0, k=8)]
     sim = build_broadcast_system(fleet, queries)
     sim.run(100)
     print(sim.server.answers[0])        # current 8 nearest object ids
     print(sim.channel.stats)            # message/byte accounting
+
+A scalar :class:`Fleet` gets the bit-identical reference build instead.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced evaluation.
@@ -79,6 +81,7 @@ from repro.geometry import Circle, Point, Rect
 from repro.index import UniformGrid, brute_knn, knn_search, range_search
 from repro.metrics import AccuracyTracker, CostMeter, is_valid_knn
 from repro.mobility import (
+    FastFleet,
     Fleet,
     GaussianClusterModel,
     RandomDirectionModel,
@@ -101,6 +104,7 @@ __all__ = [
     "Rect",
     "Circle",
     # mobility
+    "FastFleet",
     "Fleet",
     "RandomWaypointModel",
     "RandomDirectionModel",

@@ -60,6 +60,7 @@ from repro.geometry import Circle, Point, Rect
 from repro.index import brute_knn, brute_knn_ids, brute_range
 from repro.metrics import AccuracyTracker, CostMeter, is_valid_knn
 from repro.mobility import (
+    FastFleet,
     Fleet,
     GaussianClusterModel,
     HotspotDriftModel,
@@ -123,6 +124,7 @@ __all__ = [
     "WorkloadSpec",
     "MOBILITY_MODELS",
     "build_workload",
+    "FastFleet",
     "Fleet",
     "RandomWaypointModel",
     "RandomDirectionModel",

@@ -20,10 +20,11 @@ from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.grid import UniformGrid
 from repro.metrics.cost import CostMeter
+from repro.mobility.soa import is_vectorized
 from repro.net.faults import FaultPlan
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import MobileNode
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import ColumnarBatch, columnar_ok
 from repro.net.simulator import ClientPhase, RoundSimulator
 from repro.server.engine import BaseServer
 from repro.server.query_table import QuerySpec
@@ -88,15 +89,11 @@ class ReporterPhase(ClientPhase):
         )
 
     def tick_start(self, tick: int) -> None:
-        from repro.core.fastpath import (
-            _LU_NBYTES,
-            _MIN_BATCH,
-            _columnar_ok,
-            _fleet_xy,
-        )
+        from repro.core.fastpath import _LU_NBYTES, _MIN_BATCH, _fleet_xy
 
         sim = self.sim
-        if _columnar_ok(sim) and self._oids.shape[0] >= _MIN_BATCH:
+        batched = columnar_ok(sim.server, sim.channel, sim.telemetry)
+        if batched and self._oids.shape[0] >= _MIN_BATCH:
             xs, ys = _fleet_xy(sim.fleet)
             idx = self._oids
             sim.channel.send_batch(
@@ -230,7 +227,7 @@ class CentralizedServerBase(BaseServer):
             self._process(tick, entries)
 
     def _process_entries(self, tick: int, entries: List) -> None:
-        """Evaluate the tick over the dense grid (fast builds).
+        """Evaluate the tick over the dense grid (vectorized builds).
 
         ``entries`` holds scalar ``(oid, old, new)`` tuples (plane
         vetoed) and :class:`BatchUpdates` records in arrival order;
@@ -410,20 +407,19 @@ def build_centralized_system(
     specs: Sequence[QuerySpec],
     latency: str,
     faults: Optional[FaultPlan],
-    fast: bool,
     telemetry,
 ) -> RoundSimulator:
     """Register ``specs`` on ``server`` and wire one reporter per object.
 
-    ``fast=True`` makes the grid dense (the vectorized
-    ``_process_entries`` route) and ships each tick's report stream as
-    one columnar ``TICK_REPORT`` batch through :class:`ReporterPhase`.
+    A :class:`~repro.mobility.FastFleet` makes the grid dense (the
+    vectorized ``_process_entries`` route) and ships each tick's report
+    stream as one columnar ``TICK_REPORT`` batch (:class:`ReporterPhase`).
     """
     for spec in specs:
         server.register_query(spec)
     mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
     phase = None
-    if fast:
+    if is_vectorized(fleet):
         phase = ReporterPhase()
         server.grid.enable_dense(fleet.n)
         server.columnar = True

@@ -95,18 +95,17 @@ def build_cpm_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run CPM system.
 
-    ``fast=True`` routes the per-tick report stream through the
-    columnar message plane: one ``TICK_REPORT`` batch per tick
-    (:class:`~repro.baselines.common.ReporterPhase`), a dense grid
-    ingest, and vectorized dirty detection — bit-identical answers and
-    accounting, a fraction of the interpreter work.
+    A :class:`~repro.mobility.FastFleet` routes the per-tick report
+    stream through the columnar message plane: one ``TICK_REPORT``
+    batch per tick (:class:`~repro.baselines.common.ReporterPhase`), a
+    dense grid ingest, and vectorized dirty detection — bit-identical
+    answers and accounting, a fraction of the interpreter work.
     """
     server = CpmServer(fleet.universe, grid_cells, record_history=record_history)
     return build_centralized_system(
-        server, fleet, specs, latency, faults, fast, telemetry
+        server, fleet, specs, latency, faults, telemetry
     )

@@ -112,19 +112,19 @@ def build_periodic_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run PER system.
 
-    ``fast=True`` ships the per-tick report stream as one columnar
-    ``TICK_REPORT`` batch with a dense grid ingest and runs the O(N·Q)
-    scan as one numpy top-k per query over the dense grid — the same
-    answers, messages and DIST_CALC units as the scalar scan.
+    A :class:`~repro.mobility.FastFleet` ships the per-tick report
+    stream as one columnar ``TICK_REPORT`` batch with a dense grid
+    ingest and runs the O(N·Q) scan as one numpy top-k per query over
+    the dense grid — the same answers, messages and DIST_CALC units as
+    the scalar scan.
     """
     server = PeriodicServer(
         fleet.universe, grid_cells, period=period, record_history=record_history
     )
     return build_centralized_system(
-        server, fleet, specs, latency, faults, fast, telemetry
+        server, fleet, specs, latency, faults, telemetry
     )

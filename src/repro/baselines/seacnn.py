@@ -50,14 +50,13 @@ def build_seacnn_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run SEA system.
 
-    ``fast=True`` ships the per-tick report stream as one columnar
-    ``TICK_REPORT`` batch with a dense grid ingest and runs the
-    vectorized dirty detection shared with CPM
+    A :class:`~repro.mobility.FastFleet` ships the per-tick report
+    stream as one columnar ``TICK_REPORT`` batch with a dense grid
+    ingest and runs the vectorized dirty detection shared with CPM
     (:class:`~repro.baselines.common.AnswerRegionServer`); the dirty
     queries' re-searches are the same grid kNN either way, so answers
     and accounting are bit-identical.
@@ -66,5 +65,5 @@ def build_seacnn_system(
         fleet.universe, grid_cells, record_history=record_history
     )
     return build_centralized_system(
-        server, fleet, specs, latency, faults, fast, telemetry
+        server, fleet, specs, latency, faults, telemetry
     )

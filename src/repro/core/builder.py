@@ -9,6 +9,7 @@ from repro.core.client import DknnMobileNode
 from repro.core.params import DknnParams
 from repro.core.server import DknnServer
 from repro.errors import ProtocolError
+from repro.mobility.soa import is_vectorized
 from repro.net.faults import FaultPlan
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY, RoundSimulator
 from repro.server.query_table import QuerySpec
@@ -23,7 +24,6 @@ def build_dknn_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run simulator for the point-to-point protocol.
@@ -35,10 +35,10 @@ def build_dknn_system(
     When ``params.fault_tolerant`` is set, mobile nodes are built with
     the matching ack/heartbeat/re-report behavior; pass ``faults`` to
     actually perturb the network (a hardened system on a perfect
-    network stays exact). ``fast=True`` drives the client side through
-    the vectorized silent-object phase (``repro.core.fastpath``) —
-    bit-identical results, far less Python per tick; pair it with a
-    :class:`~repro.mobility.FastFleet` for the full speedup.
+    network stays exact). A :class:`~repro.mobility.FastFleet` gets the
+    vectorized build — the silent-object phase (``repro.core.fastpath``)
+    plus the columnar message plane: bit-identical results, far less
+    Python per tick.
     """
     if params is None:
         params = DknnParams()
@@ -65,12 +65,12 @@ def build_dknn_system(
         for oid in range(fleet.n)
     ]
     phase = None
-    if fast:
+    if is_vectorized(fleet):
         from repro.core.fastpath import DknnSilentPhase
 
         phase = DknnSilentPhase()
-        # Fast builds also get the columnar message plane: dense
-        # oid-indexed server storage plus batched hot-path transport.
+        # The vectorized build also gets the columnar message plane:
+        # dense oid-indexed server storage plus batched transport.
         # Channel/fault/tracer vetoes are checked per tick, not here.
         server.table.enable_dense(fleet.n)
         server.columnar = True

@@ -56,21 +56,16 @@ from repro.net.message import (
     payload_size,
 )
 from repro.net.node import MobileNode, Node
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import ColumnarBatch, columnar_ok
 from repro.net.simulator import ClientPhase
 
 __all__ = ["DknnSilentPhase", "BroadcastSilentPhase"]
 
 
 def _fleet_xy(fleet) -> Tuple[np.ndarray, np.ndarray]:
-    """Coordinate arrays of the fleet (zero-copy for SoA fleets)."""
+    """Coordinate arrays of an SoA fleet (zero-copy views)."""
     pos = fleet.positions
-    xs = getattr(pos, "xs", None)
-    ys = getattr(pos, "ys", None)
-    if xs is not None and ys is not None:
-        return xs, ys
-    arr = np.asarray(pos, dtype=np.float64)
-    return arr[:, 0], arr[:, 1]
+    return pos.xs, pos.ys
 
 
 def _base_tick_end(mobiles) -> bool:
@@ -87,23 +82,6 @@ _PR_NBYTES = payload_size(ProbeReply(0.0, 0.0))
 #: smallest run worth a columnar batch; below this the scalar path is
 #: cheaper than assembling the arrays.
 _MIN_BATCH = 8
-
-
-def _columnar_ok(sim) -> bool:
-    """May this side of the plane emit columnar batches right now?
-
-    Requires the fault veto to be clear (``sim.columnar_ok``), a
-    channel that accepts batches, a server built for them, and no
-    active protocol tracer — traced runs stay fully scalar so the
-    Jsonl event stream is bit-identical to the reference path.
-    """
-    tel = sim.telemetry
-    return (
-        sim.columnar_ok
-        and getattr(sim.channel, "supports_columnar", False)
-        and getattr(sim.server, "columnar", False)
-        and not (tel.enabled and tel.tracer.enabled)
-    )
 
 
 class DknnSilentPhase(ClientPhase):
@@ -219,7 +197,7 @@ class DknnSilentPhase(ClientPhase):
             np.isnan(self._sent_x) | (drift > self._theta) | self._attention
         )
         n_cand = int(cand.sum())
-        if _columnar_ok(sim):
+        if columnar_ok(sim.server, sim.channel, sim.telemetry):
             # Drift-only candidates (no installed region) do exactly
             # one thing scalar: send a LOCATION_UPDATE. Ship them all
             # as one batch; region holders still run the scalar path.
@@ -271,7 +249,9 @@ class DknnSilentPhase(ClientPhase):
         on the mirrors, leaving the nodes desynced.
         """
         sim = self.sim
-        if batch.kind is not MessageKind.PROBE or not _columnar_ok(sim):
+        if batch.kind is not MessageKind.PROBE or not columnar_ok(
+            sim.server, sim.channel, sim.telemetry
+        ):
             return False
         idx = batch.dsts
         xs, ys = _fleet_xy(sim.fleet)

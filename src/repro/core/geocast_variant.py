@@ -46,6 +46,7 @@ from repro.errors import ProtocolError
 from repro.geometry import Rect, dist
 from repro.geometry.region import REGION_EPS
 from repro.metrics.cost import CostMeter
+from repro.mobility.soa import is_vectorized
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
@@ -312,13 +313,13 @@ def build_geocast_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run simulator for the geocast protocol.
 
-    ``fast=True`` evaluates the per-tick band checks of all nodes in
-    one vectorized pass (``repro.core.fastpath``), bit-identically.
+    A :class:`~repro.mobility.FastFleet` evaluates the per-tick band
+    checks of all nodes in one vectorized pass (``repro.core.fastpath``),
+    bit-identically.
     """
     if params is None:
         params = GeocastParams()
@@ -340,7 +341,7 @@ def build_geocast_system(
         for oid in range(fleet.n)
     ]
     phase = None
-    if fast:
+    if is_vectorized(fleet):
         from repro.core.fastpath import BroadcastSilentPhase
 
         phase = BroadcastSilentPhase()

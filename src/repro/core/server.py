@@ -56,7 +56,7 @@ from repro.geometry import Rect, dist
 from repro.index.knn import knn_search, range_search
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import ColumnarBatch, columnar_ok
 from repro.server.engine import BaseServer
 from repro.server.object_table import ObjectTable
 from repro.server.query_table import QuerySpec
@@ -280,19 +280,6 @@ class DknnServer(BaseServer):
                 ps_pop(src, None)
                 pf_pop(src, None)
         return True
-
-    def _columnar_ok(self) -> bool:
-        """May this server emit columnar downlink batches right now?
-
-        Traced runs stay scalar end to end so the protocol Jsonl
-        streams match the reference path event for event.
-        """
-        tel = self.telemetry
-        return (
-            self.columnar
-            and getattr(self.channel, "supports_columnar", False)
-            and not (tel.enabled and tel.tracer.enabled)
-        )
 
     # -- per-subround driving -----------------------------------------------
 
@@ -650,7 +637,8 @@ class DknnServer(BaseServer):
         contiguous run of probe sends collapses into one columnar
         batch, accounted identically.
         """
-        if not self._columnar_ok() or len(oids) < 8:
+        batched = columnar_ok(self, self.channel, self.telemetry)
+        if not batched or len(oids) < 8:
             for oid in oids:
                 self._probe(oid)
             return
@@ -697,7 +685,8 @@ class DknnServer(BaseServer):
         installs always stay scalar: each carries a distinct epoch and
         registers for retransmission.
         """
-        if self._ft or not self._columnar_ok() or len(oids) < 8:
+        batched = columnar_ok(self, self.channel, self.telemetry)
+        if self._ft or not batched or len(oids) < 8:
             for oid in oids:
                 self._send_band(oid, qid, band, ax, ay, radius)
             return

@@ -1,7 +1,7 @@
 """The typed run configuration: one frozen object per run.
 
 :class:`RunConfig` replaces the loose ``(algorithm, latency,
-record_history, faults=..., fast=..., **params)`` kwarg soup that
+record_history, faults=..., **params)`` kwarg soup that
 ``build_system`` and ``run_once`` used to take. It validates eagerly —
 unknown algorithms and mistyped parameter names fail at construction,
 with a near-miss suggestion — and it is hashable/immutable, so a config
@@ -10,10 +10,9 @@ can be reused across runs, stored in a manifest, or keyed in a dict.
 The legacy string-algorithm call forms were removed in the sharding
 release; ``build_system`` / ``run_once`` raise an
 :class:`~repro.errors.ExperimentError` naming the migration when they
-see one. The deprecated ``shards=``/``shard_faults=`` kwargs were
-retired in the engine release: passing either raises a
-:class:`~repro.errors.ConfigError` naming the ``shard=ShardConfig(...)``
-replacement. Import the supported surface from :mod:`repro.api`.
+see one. The retired ``shards=``/``shard_faults=``/``fast=`` kwargs
+raise a :class:`~repro.errors.ConfigError` naming the replacement.
+Import the supported surface from :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -38,13 +37,29 @@ _LATENCIES = (ZERO_LATENCY, ONE_TICK_LATENCY)
 # Kept as an alias: the bound now lives with ShardConfig.
 _MAX_SHARDS_PER_SIDE = MAX_SHARDS_PER_SIDE
 
-_RETIRED_SHARD_KWARGS = ("shards", "shard_faults")
-
-_RETIRED_SHARD_KWARGS_MSG = (
-    "RunConfig no longer accepts {names}; pass "
-    "shard=ShardConfig(shards=..., faults=...) instead (see README, "
+_SHARD_HINT = (
+    "pass shard=ShardConfig(shards=..., faults=...) instead (see README, "
     '"Configuring the shard tier")'
 )
+
+#: retired kwarg -> what to do instead.
+_RETIRED_KWARGS = {
+    "shards": _SHARD_HINT,
+    "shard_faults": _SHARD_HINT,
+    "fast": (
+        "the vectorized path is always on; tests build the scalar "
+        "reference with build_workload(spec, reference=True)"
+    ),
+}
+
+
+def _check_retired(kwargs: Mapping[str, Any]) -> None:
+    """Raise one :class:`ConfigError` naming every retired kwarg given."""
+    retired = [k for k in _RETIRED_KWARGS if k in kwargs]
+    if retired:
+        names = ", ".join(f"{k}=" for k in retired)
+        hints = "; ".join(dict.fromkeys(_RETIRED_KWARGS[k] for k in retired))
+        raise ConfigError(f"RunConfig no longer accepts {names}; {hints}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +76,6 @@ class RunConfig:
         Keep per-tick answer history on the server.
     faults:
         Optional :class:`~repro.net.faults.FaultPlan`.
-    fast:
-        Route through the vectorized client phase (bit-identical).
     warmup, ticks:
         Optional overrides of the workload spec's ``warmup_ticks`` /
         ``ticks`` — ``run_once`` applies them via ``spec.but(...)``.
@@ -91,7 +104,6 @@ class RunConfig:
     latency: str = ZERO_LATENCY
     record_history: bool = False
     faults: Optional[FaultPlan] = None
-    fast: bool = False
     warmup: Optional[int] = None
     ticks: Optional[int] = None
     shard: Optional[ShardConfig] = None
@@ -161,13 +173,7 @@ class RunConfig:
 
     def but(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (validated afresh)."""
-        retired = [k for k in _RETIRED_SHARD_KWARGS if k in changes]
-        if retired:
-            raise ConfigError(
-                _RETIRED_SHARD_KWARGS_MSG.format(
-                    names=", ".join(f"{k}=" for k in retired)
-                )
-            )
+        _check_retired(changes)
         if "params" in changes and changes["params"] is not None:
             changes["params"] = dict(changes["params"])
         else:
@@ -181,7 +187,6 @@ class RunConfig:
             "latency": self.latency,
             "record_history": self.record_history,
             "faults": repr(self.faults) if self.faults is not None else None,
-            "fast": self.fast,
             "warmup": self.warmup,
             "ticks": self.ticks,
             "shard": (
@@ -200,7 +205,6 @@ class RunConfig:
                 self.algorithm,
                 self.latency,
                 self.record_history,
-                self.fast,
                 self.warmup,
                 self.ticks,
                 self.shard,
@@ -212,24 +216,18 @@ class RunConfig:
 
 
 def _reject_retired_kwargs(init):
-    """Make the retired ``shards=``/``shard_faults=`` kwargs fail loudly.
+    """Make the retired kwargs (:data:`_RETIRED_KWARGS`) fail loudly.
 
-    The deprecation shim is gone; a stale caller now gets a
-    :class:`ConfigError` naming the exact replacement instead of a
-    ``TypeError`` about an unexpected keyword. ``functools.wraps``
-    preserves the dataclass ``__init__`` signature for introspection
-    (``tests/test_api_surface.py`` pins it).
+    A stale caller gets a :class:`ConfigError` naming the exact
+    replacement instead of a ``TypeError`` about an unexpected
+    keyword. ``functools.wraps`` preserves the dataclass ``__init__``
+    signature for introspection (``tests/test_api_surface.py`` pins
+    it).
     """
 
     @functools.wraps(init)
     def wrapper(self, *args, **kwargs):
-        retired = [k for k in _RETIRED_SHARD_KWARGS if k in kwargs]
-        if retired:
-            raise ConfigError(
-                _RETIRED_SHARD_KWARGS_MSG.format(
-                    names=", ".join(f"{k}=" for k in retired)
-                )
-            )
+        _check_retired(kwargs)
         init(self, *args, **kwargs)
 
     return wrapper

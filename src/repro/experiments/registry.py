@@ -1060,9 +1060,7 @@ def e18_rebalancing(quick: bool = False) -> ResultTable:
         )
         m = run_once(
             RunConfig(
-                "DKNN-B",
-                fast=True,
-                shard=ShardConfig(shards=4, rebalance=policy),
+                "DKNN-B", shard=ShardConfig(shards=4, rebalance=policy)
             ),
             big,
             accuracy_every=0,
@@ -1138,9 +1136,7 @@ def e19_event_engine(quick: bool = False) -> ResultTable:
             )
             m = run_once(
                 RunConfig(
-                    "DKNN-P",
-                    fast=True,
-                    engine=EngineConfig(mode=mode, replay=replay),
+                    "DKNN-P", engine=EngineConfig(mode=mode, replay=replay)
                 ),
                 spec,
                 accuracy_every=accuracy_every,

@@ -1,11 +1,12 @@
-"""Tick-loop benchmark: scalar reference vs vectorized fast path.
+"""Tick-loop benchmark: scalar reference vs the vectorized path.
 
 Times the *tick loop itself* — mobility advance, client phase, message
 dispatch, server work — with accuracy checking off, for the same
-(algorithm, workload) pair built twice: once scalar (``fast=False``,
-the executable spec) and once vectorized (``fast=True``). Because the
-two paths are bit-identical by construction, the measured ratio is pure
-overhead reduction, not a semantics trade.
+(algorithm, workload) pair built twice: once on the scalar reference
+(``build_workload(spec, reference=True)``, the executable spec) and
+once on the default vectorized path. Because the two paths are
+bit-identical by construction, the measured ratio is pure overhead
+reduction, not a semantics trade.
 
 Outputs one JSON document (``BENCH_tick.json`` at the repo root by
 convention) so successive PRs accumulate a perf trajectory::
@@ -15,9 +16,9 @@ convention) so successive PRs accumulate a perf trajectory::
     python -m repro.experiments.tickbench --check            # CI smoke
     python -m repro.experiments.tickbench --gate BENCH_tick.json
 
-``--check`` runs one small configuration and exits nonzero if the fast
-path is slower than the scalar path — the guard against a silently dead
-fast path (e.g. a builder that stops passing ``fast`` through).
+``--check`` runs one small configuration and exits nonzero if the
+vectorized path does not beat the scalar reference by each
+algorithm's margin.
 ``--gate`` is the perf-regression gate: it re-measures the small suite
 configs against the committed benchmark and trips when a speedup falls
 below the tolerance band (dumping a cProfile artifact via ``--profile``).
@@ -78,6 +79,10 @@ SUITE: Tuple[Dict, ...] = (
 
 _WARMUP_TICKS = 5
 
+#: key of the vectorized run in a result row (BENCH_tick.json schema 1
+#: names it after the retired flag; ``"scalar"`` is the reference run).
+VEC = "fast"
+
 
 def _make_spec(overrides: Dict, ticks: int) -> WorkloadSpec:
     return WorkloadSpec(
@@ -91,17 +96,17 @@ def _make_spec(overrides: Dict, ticks: int) -> WorkloadSpec:
 def time_tick_loop(
     algorithm: str,
     spec: WorkloadSpec,
-    fast: bool,
+    reference: bool = False,
     alg_params: Optional[Dict] = None,
     telemetry: Optional[Telemetry] = None,
     shard: Optional[ShardConfig] = None,
     engine: Optional[EngineConfig] = None,
 ) -> Dict:
-    """Build one system, warm it up, and time the measured window."""
-    fleet, queries = build_workload(spec, fast=fast)
+    """Build one system, warm it up, and time the measured window
+    (on the scalar reference build when ``reference`` is set)."""
+    fleet, queries = build_workload(spec, reference=reference)
     cfg = RunConfig(
         algorithm,
-        fast=fast,
         shard=shard,
         engine=engine,
         params=dict(alg_params or {}),
@@ -128,17 +133,19 @@ def compare_tick_loop(
     spec: WorkloadSpec,
     alg_params: Optional[Dict] = None,
 ) -> Dict:
-    """Scalar and fast timings for one configuration, plus the ratio.
+    """Reference and vectorized timings for one configuration + ratio.
 
     The message totals of the two runs must agree — the benchmark
     refuses to report a "speedup" over a run that did different work.
     """
-    scalar = time_tick_loop(algorithm, spec, fast=False, alg_params=alg_params)
-    fast = time_tick_loop(algorithm, spec, fast=True, alg_params=alg_params)
-    if scalar["msgs_total"] != fast["msgs_total"]:
+    scalar = time_tick_loop(
+        algorithm, spec, reference=True, alg_params=alg_params
+    )
+    vec = time_tick_loop(algorithm, spec, alg_params=alg_params)
+    if scalar["msgs_total"] != vec["msgs_total"]:
         raise AssertionError(
-            f"{algorithm}: fast path diverged from scalar "
-            f"({fast['msgs_total']} msgs vs {scalar['msgs_total']})"
+            f"{algorithm}: vectorized path diverged from the reference "
+            f"({vec['msgs_total']} msgs vs {scalar['msgs_total']})"
         )
     return {
         "algorithm": algorithm,
@@ -146,8 +153,8 @@ def compare_tick_loop(
         "n_queries": spec.n_queries,
         "k": spec.k,
         "scalar": scalar,
-        "fast": fast,
-        "speedup": round(scalar["wall_s"] / fast["wall_s"], 2),
+        VEC: vec,
+        "speedup": round(scalar["wall_s"] / vec["wall_s"], 2),
     }
 
 
@@ -166,7 +173,7 @@ def run_suite(suite: Sequence[Dict] = SUITE, verbose: bool = True) -> Dict:
                 print(
                     f"{entry['config']:<12} {algorithm:<8} "
                     f"scalar {row['scalar']['ms_per_tick']:>10.1f} ms/tick  "
-                    f"fast {row['fast']['ms_per_tick']:>9.1f} ms/tick  "
+                    f"vectorized {row[VEC]['ms_per_tick']:>9.1f} ms/tick  "
                     f"speedup {row['speedup']:>6.2f}x"
                 )
     return {
@@ -182,18 +189,18 @@ def run_suite(suite: Sequence[Dict] = SUITE, verbose: bool = True) -> Dict:
 
 
 def check_smoke(n_objects: int = 2000, ticks: int = 20) -> int:
-    """CI guard: the fast path must not be slower than scalar.
+    """CI guard: the vectorized path must beat the scalar reference.
 
-    What this catches is the fast path silently not running (a builder
-    that stops passing ``fast`` through), not a perf regression per se
-    — so each algorithm's bar sits well below its measured ratio:
+    What this catches is a vectorized layer silently falling back to
+    per-message work, not a perf regression per se — so each
+    algorithm's bar sits well below its measured ratio:
     DKNN-B's delivery-side savings give a wide margin even at small N,
     where DKNN-P's win is within noise of a shared-runner CI box, so
     their bars are ``1.0x``/``0.8x``, not the full-size 3x target.
     """
     spec = _make_spec(dict(n_objects=n_objects, n_queries=8, k=8), ticks)
     failed = False
-    # The centralized baselines' bars are above 1x: their fast paths
+    # The centralized baselines' bars are above 1x: their batch paths
     # (columnar TICK_REPORT ingest + vectorized dirty detection, and
     # PER's numpy full scan) win 10-40x even at smoke scale, so a dead
     # batch path shows up as a hard ratio collapse, not noise. PER/SEA
@@ -208,7 +215,7 @@ def check_smoke(n_objects: int = 2000, ticks: int = 20) -> int:
         print(
             f"perf smoke {algorithm} n={n_objects}: "
             f"scalar {row['scalar']['ms_per_tick']} ms/tick, "
-            f"fast {row['fast']['ms_per_tick']} ms/tick, "
+            f"vectorized {row[VEC]['ms_per_tick']} ms/tick, "
             f"speedup {row['speedup']}x (bar {bar}x)"
         )
         if row["speedup"] < bar:
@@ -223,7 +230,7 @@ def check_smoke(n_objects: int = 2000, ticks: int = 20) -> int:
 def shard_overhead_rows(n_objects: int = 2000, ticks: int = 20) -> List[Dict]:
     """Time the sharded tier at S in {1, 4} against the plain server.
 
-    Same workload, same seed, same fast path — the only difference is
+    Same workload, same seed, vectorized path — the only difference is
     ``RunConfig(shard=ShardConfig(shards=S))``. The tier is
     bit-identical by construction, so ``msgs_total`` must agree; the
     interesting number is the wall overhead of the routing/ownership
@@ -233,10 +240,10 @@ def shard_overhead_rows(n_objects: int = 2000, ticks: int = 20) -> List[Dict]:
     spec = _make_spec(dict(n_objects=n_objects, n_queries=8, k=8), ticks)
     rows: List[Dict] = []
     for algorithm in ("DKNN-B", "DKNN-P"):
-        plain = time_tick_loop(algorithm, spec, fast=True)
+        plain = time_tick_loop(algorithm, spec)
         for side in (1, 4):
             sharded = time_tick_loop(
-                algorithm, spec, fast=True, shard=ShardConfig(shards=side)
+                algorithm, spec, shard=ShardConfig(shards=side)
             )
             rows.append(
                 {
@@ -261,7 +268,7 @@ def rebalance_overhead_rows(
 ) -> List[Dict]:
     """Time elastic rebalancing against a static grid, same workload.
 
-    Drifting-hotspot mobility at S=2, fast path, accuracy off — the
+    Drifting-hotspot mobility at S=2, vectorized path, accuracy off — the
     static tier vs the same tier with a :class:`RebalancePolicy`
     attached. Rebalancing routes uplinks through the fine cell map and
     runs the migration cycle, so it costs wall time; the ``overhead``
@@ -282,12 +289,11 @@ def rebalance_overhead_rows(
     rows: List[Dict] = []
     for algorithm in ("DKNN-B",):
         static = time_tick_loop(
-            algorithm, spec, fast=True, shard=ShardConfig(shards=2)
+            algorithm, spec, shard=ShardConfig(shards=2)
         )
         rebal = time_tick_loop(
             algorithm,
             spec,
-            fast=True,
             shard=ShardConfig(
                 shards=2,
                 rebalance=RebalancePolicy(
@@ -419,7 +425,7 @@ def event_speedup_rows(
 ) -> List[Dict]:
     """Time the event engine against the tick loop, same workload.
 
-    Fast path both ways — the only difference is
+    Vectorized path both ways — the only difference is
     ``RunConfig(engine=EngineConfig(mode="event"))``. The two runs are
     bit-identical by construction (the DESIGN §15 equivalence
     contract), so ``msgs_total`` must agree; the speedup is what
@@ -428,9 +434,9 @@ def event_speedup_rows(
     spec = _event_spec(n_objects, ticks)
     rows: List[Dict] = []
     for algorithm in ("DKNN-P",):
-        tick_row = time_tick_loop(algorithm, spec, fast=True)
+        tick_row = time_tick_loop(algorithm, spec)
         event_row = time_tick_loop(
-            algorithm, spec, fast=True, engine=EngineConfig(mode="event")
+            algorithm, spec, engine=EngineConfig(mode="event")
         )
         rows.append(
             {
@@ -498,7 +504,7 @@ def check_event_smoke(n_objects: int = 20_000, ticks: int = 120) -> int:
 
 
 #: A gated configuration may lose up to half of its committed speedup
-#: before the gate trips. Ratios (fast vs scalar on the *same* box),
+#: before the gate trips. Ratios (vectorized vs reference on the same box),
 #: not wall times, so shared-runner speed never matters; the message
 #: totals are compared exactly (the workload is seeded).
 _GATE_TOLERANCE = 0.5
@@ -508,15 +514,15 @@ _GATE_CONFIGS = ("E1-n2000", "E6-n20000")
 
 
 def _profile_fast_run(config: str, algorithm: str, out_path: str) -> None:
-    """cProfile the fast tick loop of one suite config to a text file."""
+    """cProfile the vectorized tick loop of one suite config to a file."""
     import cProfile
     import io
     import pstats
 
     entry = {e["config"]: e for e in SUITE}[config]
     spec = _make_spec(entry["spec"], entry["ticks"])
-    fleet, queries = build_workload(spec, fast=True)
-    sim = build_system(RunConfig(algorithm, fast=True), fleet, queries)
+    fleet, queries = build_workload(spec)
+    sim = build_system(RunConfig(algorithm), fleet, queries)
     sim.run(spec.warmup_ticks)
     prof = cProfile.Profile()
     prof.enable()
@@ -525,7 +531,7 @@ def _profile_fast_run(config: str, algorithm: str, out_path: str) -> None:
     buf = io.StringIO()
     pstats.Stats(prof, stream=buf).sort_stats("cumulative").print_stats(40)
     with open(out_path, "w") as fh:
-        fh.write(f"# {algorithm} @ {config}, fast tick loop\n")
+        fh.write(f"# {algorithm} @ {config}, vectorized tick loop\n")
         fh.write(buf.getvalue())
     print(f"wrote cProfile of {algorithm} @ {config} to {out_path}")
 
@@ -533,15 +539,15 @@ def _profile_fast_run(config: str, algorithm: str, out_path: str) -> None:
 def check_regression(
     baseline_path: str, profile_out: Optional[str] = None
 ) -> int:
-    """CI gate: the fast path must hold its committed speedup.
+    """CI gate: the vectorized path must hold its committed speedup.
 
     Re-measures the small suite configs and compares each against the
     committed ``BENCH_tick.json``:
 
-    * the fast run's ``msgs_total`` must equal the baseline's exactly —
-      a protocol change that alters the message stream must refresh the
-      committed benchmark in the same PR, keeping the perf trajectory
-      honest;
+    * the vectorized run's ``msgs_total`` must equal the baseline's
+      exactly — a protocol change that alters the message stream must
+      refresh the committed benchmark in the same PR, keeping the perf
+      trajectory honest;
     * the measured speedup must stay above ``_GATE_TOLERANCE`` of the
       committed speedup.
 
@@ -563,13 +569,13 @@ def check_regression(
         print(
             f"perf gate {config} {algorithm}: speedup {row['speedup']}x "
             f"(committed {base['speedup']}x, floor {floor}x), "
-            f"msgs {row['fast']['msgs_total']}"
+            f"msgs {row[VEC]['msgs_total']}"
         )
-        if row["fast"]["msgs_total"] != base["fast"]["msgs_total"]:
+        if row[VEC]["msgs_total"] != base[VEC]["msgs_total"]:
             print(
                 f"FAIL: message stream diverged from the committed "
-                f"benchmark ({row['fast']['msgs_total']} vs "
-                f"{base['fast']['msgs_total']}) — re-run "
+                f"benchmark ({row[VEC]['msgs_total']} vs "
+                f"{base[VEC]['msgs_total']}) — re-run "
                 f"`python -m repro.experiments.tickbench` and commit "
                 f"the refreshed {baseline_path}"
             )
@@ -603,11 +609,11 @@ def check_obs_overhead(n_objects: int = 2000, ticks: int = 20) -> int:
     from repro.obs import MetricsRegistry, RingSink, Tracer
 
     spec = _make_spec(dict(n_objects=n_objects, n_queries=8, k=8), ticks)
-    plain = time_tick_loop("DKNN-B", spec, fast=True)
+    plain = time_tick_loop("DKNN-B", spec)
     ring = RingSink()
     reg = MetricsRegistry()
     tel = Telemetry(tracer=Tracer(ring), metrics=reg)
-    traced = time_tick_loop("DKNN-B", spec, fast=True, telemetry=tel)
+    traced = time_tick_loop("DKNN-B", spec, telemetry=tel)
     phase_events = len(ring.events(kind="tick.phase"))
     ratio = traced["wall_s"] / max(plain["wall_s"], 1e-9)
     print(
@@ -654,7 +660,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="CI smoke: small run, exit 1 if fast path is slower",
+        help="CI smoke: small run, exit 1 if the vectorized path loses",
     )
     parser.add_argument(
         "--obs",

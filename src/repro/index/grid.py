@@ -69,7 +69,7 @@ class UniformGrid:
     # -- dense backend --------------------------------------------------------
 
     def enable_dense(self, capacity: int) -> None:
-        """Switch to oid-indexed array storage (fast-path builds only).
+        """Switch to oid-indexed array storage (vectorized builds only).
 
         Requires non-negative object ids; ``capacity`` hints the id
         range (arrays grow on demand). Existing contents migrate.

@@ -1,4 +1,4 @@
-"""Structure-of-arrays fast path for the fleet (the ``fast=True`` world).
+"""Structure-of-arrays fleets: the storage the vectorized build runs on.
 
 :class:`FastFleet` is a drop-in :class:`~repro.mobility.fleet.Fleet`
 whose positions live in numpy arrays and whose :meth:`advance` steps
@@ -47,7 +47,7 @@ from repro.mobility.random_waypoint import RandomWaypointMover
 from repro.mobility.stationary import LinearMover, StationaryMover
 from repro.mobility.trace import ReplayFleet, Trace
 
-__all__ = ["FastFleet", "FastReplayFleet", "SoAPositions"]
+__all__ = ["FastFleet", "FastReplayFleet", "SoAPositions", "is_vectorized"]
 
 
 class SoAPositions:
@@ -86,8 +86,26 @@ class SoAPositions:
         for i in range(xs.shape[0]):
             yield (float(xs[i]), float(ys[i]))
 
+    def __eq__(self, other) -> bool:
+        """Equal to any sequence of the same ``(x, y)`` pairs."""
+        if not isinstance(other, (SoAPositions, list, tuple)):
+            return NotImplemented
+        pairs = zip(self, other)
+        return len(self) == len(other) and all(a == b for a, b in pairs)
+
+    __hash__ = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:
         return f"SoAPositions(n={len(self)})"
+
+
+def is_vectorized(fleet) -> bool:
+    """Does ``fleet`` get the vectorized build from the system builders?
+
+    True for SoA fleets (:class:`FastFleet`, :class:`FastReplayFleet`);
+    scalar fleets get the bit-identical scalar reference build.
+    """
+    return isinstance(fleet.positions, SoAPositions)
 
 
 class _Kernel:
@@ -450,8 +468,8 @@ class FastFleet(Fleet):
     Construction, the RNG stream, and every per-tick position are
     bit-identical to the scalar fleet (pinned by
     ``tests/test_fastpath.py``); only the amount of Python executed per
-    tick changes. Use :meth:`Fleet.from_model` on this class, or the
-    ``fast=True`` flag of :func:`repro.workloads.build_workload`.
+    tick changes. Use :meth:`Fleet.from_model` on this class, or
+    :func:`repro.workloads.build_workload`, which builds one by default.
     """
 
     def __init__(self, movers: Sequence[Mover], seed: int = 0) -> None:

@@ -27,10 +27,11 @@ Semantics contract (pinned by ``tests/test_plane.py``):
   ``CommStats.materialized_by_kind`` (a transport diagnostic, not
   radio traffic).
 
-Batches only exist on fault-free runs: radio :class:`~repro.net.faults.
-FaultPlan` channels advertise ``supports_columnar = False`` (per-message
-drop/dup/delay decisions need per-message sends to keep the fault RNG
-stream identical), the sharded tier refuses batches while a
+Batches only exist on fault-free runs (:func:`columnar_ok`): radio
+:class:`~repro.net.faults.FaultPlan` channels advertise
+``supports_columnar = False`` (per-message drop/dup/delay decisions
+need per-message sends to keep the fault RNG stream identical), the
+sharded tier clears its inner server's ``columnar`` flag while a
 ``ShardFaultPlan`` is active, and an attached protocol tracer vetoes
 the plane too — traced runs stay scalar end to end so the Jsonl event
 streams match the reference path event for event.
@@ -45,7 +46,16 @@ import numpy as np
 from repro.errors import NetworkError
 from repro.net.message import HEADER_BYTES, Message, MessageKind, SERVER_ID
 
-__all__ = ["ColumnarBatch"]
+__all__ = ["ColumnarBatch", "columnar_ok"]
+
+
+def columnar_ok(server, channel, telemetry) -> bool:
+    """May ``server`` and its mobiles exchange columnar batches now?"""
+    return (
+        getattr(server, "columnar", False)
+        and getattr(channel, "supports_columnar", False)
+        and not (telemetry.enabled and telemetry.tracer.enabled)
+    )
 
 
 class ColumnarBatch:

@@ -154,12 +154,6 @@ class RoundSimulator:
                 raise NetworkError(f"duplicate node id {node.node_id}")
             self._nodes_by_id[node.node_id] = node
         self.tick = 0
-        #: may senders use the columnar plane on this run? The channel
-        #: has its own veto (``supports_columnar``); this flag lets the
-        #: tiers above the radio (the sharded server under an active
-        #: ShardFaultPlan) turn batching off for the whole run. Senders
-        #: check both.
-        self.columnar_ok = self.faults is None
         #: optional vectorized client phase (``repro.core.fastpath``):
         #: replaces the per-mobile ``on_tick_start`` loop with a batched
         #: predicate pass that only touches candidate nodes.

@@ -4,7 +4,7 @@ A manifest is one JSON document written next to a run's results (CSV,
 trace, metrics) recording *everything that went into the numbers*:
 
 * the exact workload spec and algorithm parameters of every run,
-  including the RNG seed, latency mode, ``fast`` flag and fault plan;
+  including the RNG seed, latency mode and fault plan;
 * the code revision (git rev + dirty bit, when a git checkout is
   available) and package versions (python / numpy / platform);
 * wall-clock timings, and the committed ``BENCH_tick.json`` reference

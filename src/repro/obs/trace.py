@@ -21,8 +21,8 @@ bit-identity contract into observability:
 
 * **protocol** scope (``server.*``, ``fault.*``): emitted only from
   code shared by the scalar and vectorized paths, with deterministic
-  fields. A ``fast=True`` run must produce the *identical* protocol
-  event stream as its scalar twin — including under a FaultPlan.
+  fields. A vectorized run must produce the *identical* protocol
+  event stream as its scalar-reference twin — including under a FaultPlan.
   ``tests/test_obs.py`` pins this.
 * **perf** scope (``tick.phase``, ``fastpath.*``): timings and
   dispatch decisions. Legitimately different between the two paths.
@@ -155,8 +155,8 @@ class TraceEvent:
 def protocol_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
     """The protocol-scope subsequence of an event stream.
 
-    This is the projection under which scalar and ``fast=True`` runs
-    must be identical; perf/meta events are legitimately divergent.
+    This is the projection under which scalar-reference and vectorized
+    runs must be identical; perf/meta events are legitimately divergent.
     """
     return [e for e in events if e.kind in PROTOCOL_KINDS]
 

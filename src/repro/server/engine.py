@@ -48,9 +48,9 @@ __all__ = ["BaseServer"]
 class BaseServer(ServerNodeBase):
     """Common state and answer-publication plumbing for servers."""
 
-    #: builders set this True on fast builds to let the server send
-    #: and accept columnar batches (see repro.net.plane); the channel
-    #: and the sharded tier each hold their own veto on top.
+    #: builders set this True on vectorized builds to let the server
+    #: send and accept columnar batches (see repro.net.plane); the
+    #: channel and the tracer each veto it on top (``columnar_ok``).
     columnar = False
 
     def __init__(self, record_history: bool = False) -> None:

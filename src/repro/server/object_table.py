@@ -51,7 +51,7 @@ class ObjectTable:
         self._rt = self._ft = self._px = self._py = None
 
     def enable_dense(self, capacity: int) -> None:
-        """Switch to oid-indexed array storage (fast-path builds only).
+        """Switch to oid-indexed array storage (vectorized builds only).
 
         Turns on the grid's dense backend too, which is what unlocks
         :meth:`report_batch` and the vectorized range search. Existing

@@ -2015,9 +2015,9 @@ def shard_attach(
     if tier._fault_plan is not None or tier._admission is not None:
         # Shard faults and admission control are adjudicated one message
         # at a time (serving shard, shedding, deferral, downlink loss):
-        # veto the columnar plane on both sides so every uplink/downlink
-        # routes scalar. Rebalancing alone keeps the plane — cell
-        # lookups vectorize.
+        # veto the columnar plane on both sides (the mobiles read the
+        # flag through this tier) so every uplink/downlink routes
+        # scalar. Rebalancing alone keeps the plane — cell lookups
+        # vectorize.
         inner.columnar = False
-        sim.columnar_ok = False
     return tier

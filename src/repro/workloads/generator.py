@@ -100,20 +100,21 @@ def _make_focal_movers(
 
 
 def build_workload(
-    spec: WorkloadSpec, fast: bool = False
+    spec: WorkloadSpec, reference: bool = False
 ) -> Tuple[Fleet, List[QuerySpec]]:
     """Build the fleet and the query list for one run.
 
     Focal objects occupy ids ``n_objects .. population-1``; query ``i``
-    is anchored at focal object ``n_objects + i``. With ``fast=True``
-    the fleet is a :class:`~repro.mobility.FastFleet` — numpy-backed
-    positions and a batched ``advance()``, bit-identical motion.
+    is anchored at focal object ``n_objects + i``. The fleet is a
+    :class:`~repro.mobility.FastFleet`, which systems build the
+    vectorized path on; ``reference=True`` (tests only) builds the
+    scalar :class:`~repro.mobility.Fleet` of the reference path.
     """
     size = spec.universe_size
     universe = Rect(0.0, 0.0, size, size)
     model = make_mobility_model(spec, universe)
     focal_movers = _make_focal_movers(spec, universe)
-    fleet_cls = FastFleet if fast else Fleet
+    fleet_cls = Fleet if reference else FastFleet
     fleet = fleet_cls.from_model(
         model, spec.n_objects, seed=spec.seed, extra_movers=focal_movers
     )

@@ -27,7 +27,8 @@ EXPECTED = {
     # errors
     "ReproError", "ExperimentError", "ConfigError",
     # workloads & mobility
-    "WorkloadSpec", "MOBILITY_MODELS", "build_workload", "Fleet",
+    "WorkloadSpec", "MOBILITY_MODELS", "build_workload", "FastFleet",
+    "Fleet",
     "RandomWaypointModel", "RandomDirectionModel", "GaussianClusterModel",
     "HotspotDriftModel", "MostlyStationaryModel", "RoadNetworkModel",
     # geometry & queries
@@ -90,7 +91,7 @@ def _params(obj):
 class TestEntryPointSignatures:
     def test_run_config_fields(self):
         assert _params(api.RunConfig) == [
-            "algorithm", "latency", "record_history", "faults", "fast",
+            "algorithm", "latency", "record_history", "faults",
             "warmup", "ticks",
             "shard",
             "engine",
@@ -103,11 +104,18 @@ class TestEntryPointSignatures:
         # TypeError, so stale scripts get a migration pointer.
         import pytest
 
-        for kwargs in ({"shards": 2}, {"shard_faults": None}):
-            with pytest.raises(
-                api.ConfigError, match=r"shard=ShardConfig"
-            ):
+        # ``fast=`` retired with the vectorized path becoming the only
+        # production path; its message points at the test-only switch.
+        cases = (
+            ({"shards": 2}, r"shard=ShardConfig"),
+            ({"shard_faults": None}, r"shard=ShardConfig"),
+            ({"fast": True}, r"build_workload\(spec, reference=True\)"),
+        )
+        for kwargs, message in cases:
+            with pytest.raises(api.ConfigError, match=message):
                 api.RunConfig("DKNN-P", **kwargs)
+            with pytest.raises(api.ConfigError, match=message):
+                api.RunConfig("DKNN-P").but(**kwargs)
 
     def test_engine_config_fields(self):
         assert _params(api.EngineConfig) == ["mode", "replay"]

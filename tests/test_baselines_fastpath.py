@@ -86,18 +86,17 @@ CASES = {
 }
 
 
-def _run(algorithm, case, fast):
+def _run(algorithm, case, reference=False):
     cfg = RunConfig(
         algorithm.split("-")[0],
         record_history=True,
-        fast=fast,
         **ALGORITHMS[algorithm],
         **CASES[case],
     )
-    sim = build_system(cfg, _fleet(FastFleet if fast else Fleet), QUERIES)
+    sim = build_system(cfg, _fleet(Fleet if reference else FastFleet), QUERIES)
     server = getattr(sim.server, "inner", sim.server)
     vectorized = []
-    if fast:
+    if not reference:
         def scalar_process(tick, updates):
             raise AssertionError("fast build fell back to the scalar scan")
 
@@ -134,8 +133,8 @@ def _run(algorithm, case, fast):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_fast_matches_scalar_reference(algorithm, case):
-    scalar = _run(algorithm, case, fast=False)
-    fast = _run(algorithm, case, fast=True)
+    scalar = _run(algorithm, case, reference=True)
+    fast = _run(algorithm, case)
     assert fast["answers"] == scalar["answers"]
     assert fast["messages"] == scalar["messages"]
     assert fast["bytes"] == scalar["bytes"]
@@ -149,7 +148,7 @@ def test_fast_matches_scalar_reference(algorithm, case):
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_silenced_focal_leaves_its_query_unanswered(algorithm):
-    fast = _run(algorithm, "faults", fast=True)
+    fast = _run(algorithm, "faults")
     crashed = [s.qid for s in QUERIES if s.focal_oid == CRASHED_FOCAL]
     assert crashed
     for tick_answers in fast["answers"]:
@@ -162,7 +161,7 @@ def test_silenced_focal_leaves_its_query_unanswered(algorithm):
 
 @pytest.mark.parametrize("algorithm", ("PER", "SEA", "CPM"))
 def test_ties_break_by_oid(algorithm):
-    fast = _run(algorithm, "plain", fast=True)
+    fast = _run(algorithm, "plain")
     first = fast["answers"][0]
     assert first[0] == (1, 2, 3)  # six tied at 100.0: lowest oids win
     assert first[1] == (1, 2, 3, 4, 5, 6)

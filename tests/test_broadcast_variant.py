@@ -19,7 +19,10 @@ def _system(n=100, q=2, k=5, seed=13, **params):
     spec = WorkloadSpec(
         n_objects=n, n_queries=q, k=k, seed=seed, ticks=10, warmup_ticks=1
     )
-    fleet, queries = build_workload(spec)
+    # These tests read mobile-node state (monitors, epochs), which the
+    # vectorized client phase mirrors in arrays instead of updating on
+    # every node, so they run on the scalar reference build.
+    fleet, queries = build_workload(spec, reference=True)
     sim = build_broadcast_system(
         fleet, queries, BroadcastParams(**params) if params else None
     )

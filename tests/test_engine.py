@@ -43,9 +43,18 @@ SPEC = WorkloadSpec(
 TICKS = 40
 
 
-def _run(cfg: RunConfig, spec: WorkloadSpec = SPEC, ticks: int = TICKS):
-    """Run one config tick by tick; return per-tick answers + stats."""
-    fleet, queries = build_workload(spec, fast=cfg.fast)
+def _run(
+    cfg: RunConfig,
+    spec: WorkloadSpec = SPEC,
+    ticks: int = TICKS,
+    reference: bool = True,
+):
+    """Run one config tick by tick; return per-tick answers + stats.
+
+    The engine contracts are pinned on the scalar reference build unless
+    ``reference=False`` asks for the vectorized one.
+    """
+    fleet, queries = build_workload(spec, reference=reference)
     sim = build_system(cfg, fleet, queries)
     per_tick = []
 
@@ -141,9 +150,10 @@ class TestEquivalence:
         assert tick["driver"].skipped_ticks == 0
 
     def test_fast_path_event_mode(self):
-        tick_run = _run(RunConfig("DKNN-P", fast=True))
+        tick_run = _run(RunConfig("DKNN-P"), reference=False)
         event_run = _run(
-            RunConfig("DKNN-P", fast=True, engine=EngineConfig(mode="event"))
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event")),
+            reference=False,
         )
         _assert_equivalent(tick_run, event_run)
         assert event_run["driver"].skipped_ticks > 0

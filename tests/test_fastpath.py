@@ -1,11 +1,13 @@
-"""Bit-identity of the vectorized fast path against the scalar spec.
+"""Bit-identity of the vectorized path against the scalar spec.
 
-The ``fast=True`` builders must be *indistinguishable* from the scalar
-reference: same per-tick answers, same messages (count, kind, bytes,
-delivery accounting), same cost-meter units, same fleet trajectories,
-same RNG stream — for every protocol, and also under an active fault
-plan. These tests pin that contract end to end; the unit-level
-counterparts for the index/oracle live in ``test_index_vectorized.py``.
+Builds over a :class:`FastFleet` (the ``build_workload`` default) must
+be *indistinguishable* from the scalar reference
+(``build_workload(spec, reference=True)``): same per-tick answers,
+same messages (count, kind, bytes, delivery accounting), same
+cost-meter units, same fleet trajectories, same RNG stream — for every
+protocol, and also under an active fault plan. These tests pin that
+contract end to end; the unit-level counterparts for the index/oracle
+live in ``test_index_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.mobility import (
     StationaryMover,
     record_trace,
 )
+from repro.mobility.soa import is_vectorized
 from repro.net.faults import FaultPlan
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
@@ -34,14 +37,12 @@ from repro.workloads.spec import WorkloadSpec
 TICKS = 25
 
 
-def _run(algorithm, fast, faults=None, n=250, ticks=TICKS):
+def _run(algorithm, reference=False, faults=None, n=250, ticks=TICKS):
     spec = WorkloadSpec(
         ticks=ticks, warmup_ticks=0, seed=42, n_objects=n, n_queries=6, k=5
     )
-    fleet, queries = build_workload(spec, fast=fast)
-    cfg = RunConfig(
-        algorithm, record_history=True, fast=fast, faults=faults
-    )
+    fleet, queries = build_workload(spec, reference=reference)
+    cfg = RunConfig(algorithm, record_history=True, faults=faults)
     sim = build_system(cfg, fleet, queries)
     answers = []
 
@@ -67,8 +68,8 @@ def _run(algorithm, fast, faults=None, n=250, ticks=TICKS):
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_fast_path_bit_identical(algorithm):
-    scalar = _run(algorithm, fast=False)
-    fast = _run(algorithm, fast=True)
+    scalar = _run(algorithm, reference=True)
+    fast = _run(algorithm)
     assert fast["positions"] == scalar["positions"]
     assert fast["messages"] == scalar["messages"]
     assert fast["bytes"] == scalar["bytes"]
@@ -126,14 +127,61 @@ def test_fast_path_bit_identical_under_faults(algorithm, plan_kwargs):
     deviation (extra send, reordered dispatch) shows up as a diverged
     run, not a subtle statistic.
     """
-    scalar = _run(algorithm, fast=False, faults=FaultPlan(**plan_kwargs))
-    fast = _run(algorithm, fast=True, faults=FaultPlan(**plan_kwargs))
+    scalar = _run(algorithm, reference=True, faults=FaultPlan(**plan_kwargs))
+    fast = _run(algorithm, faults=FaultPlan(**plan_kwargs))
     assert fast["positions"] == scalar["positions"]
     assert fast["messages"] == scalar["messages"]
     assert fast["bytes"] == scalar["bytes"]
     assert fast["delivered"] == scalar["delivered"]
     assert fast["meter"] == scalar["meter"]
     assert fast["answers"] == scalar["answers"]
+
+
+# -- which build the fleet selects --------------------------------------------
+
+#: where each server keeps object positions. DKNN-B/G keep no table
+#: (their answers come from collect replies), so for them only the
+#: client phase marks the vectorized build.
+_POSITION_STORE = {
+    "DKNN-P": "table", "PER": "grid", "SEA": "grid", "CPM": "grid",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_default_build_is_vectorized(algorithm):
+    spec = WorkloadSpec(
+        ticks=2, warmup_ticks=0, seed=42, n_objects=60, n_queries=2, k=3
+    )
+    fleet, queries = build_workload(spec)
+    sim = build_system(RunConfig(algorithm), fleet, queries)
+    assert is_vectorized(fleet)
+    assert sim.client_phase is not None
+    store = _POSITION_STORE.get(algorithm)
+    if store is not None:
+        assert getattr(sim.server, store)._dense
+        assert sim.server.columnar
+    # ... and the reference fleet selects the scalar build.
+    fleet, queries = build_workload(spec, reference=True)
+    ref = build_system(RunConfig(algorithm), fleet, queries)
+    assert not is_vectorized(fleet)
+    assert ref.client_phase is None
+    assert not getattr(ref.server, "columnar", False)
+    if store is not None:
+        assert not getattr(ref.server, store)._dense
+
+
+def test_soa_positions_compare_as_a_sequence():
+    model = RandomWaypointModel(UNIVERSE, speed_min=20.0, speed_max=45.0)
+    scalar = Fleet.from_model(model, 30, seed=4)
+    fast = FastFleet.from_model(model, 30, seed=4)
+    assert fast.positions == scalar.positions
+    assert scalar.positions == fast.positions
+    assert fast.positions == FastFleet.from_model(model, 30, seed=4).positions
+    fast.advance()
+    assert fast.positions != scalar.positions
+    assert fast.positions != scalar.positions[:-1]
+    with pytest.raises(TypeError):
+        hash(fast.positions)
 
 
 # -- fleet backends -----------------------------------------------------------

@@ -16,7 +16,10 @@ def _system(n=150, q=2, k=5, seed=29, query_speed=50.0, **params):
         n_objects=n, n_queries=q, k=k, seed=seed, ticks=10,
         warmup_ticks=1, query_speed=query_speed,
     )
-    fleet, queries = build_workload(spec)
+    # These tests read mobile-node state (monitors, epochs), which the
+    # vectorized client phase mirrors in arrays instead of updating on
+    # every node, so they run on the scalar reference build.
+    fleet, queries = build_workload(spec, reference=True)
     sim = build_geocast_system(
         fleet, queries, GeocastParams(**params) if params else None
     )

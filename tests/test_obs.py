@@ -35,11 +35,11 @@ SPEC = WorkloadSpec(
 )
 
 
-def _traced_run(algorithm, fast, faults=None, ticks=20):
+def _traced_run(algorithm, reference=False, faults=None, ticks=20):
     ring = RingSink()
     tel = Telemetry(tracer=Tracer(ring))
-    fleet, queries = build_workload(SPEC, fast=fast)
-    cfg = RunConfig(algorithm, fast=fast, faults=faults)
+    fleet, queries = build_workload(SPEC, reference=reference)
+    cfg = RunConfig(algorithm, faults=faults)
     sim = build_system(cfg, fleet, queries, telemetry=tel)
     sim.run(ticks)
     answers = {q.qid: tuple(sim.server.answers[q.qid]) for q in queries}
@@ -82,12 +82,13 @@ FAULT_PLANS = {
 
 
 class TestProtocolStreamBitIdentity:
-    """Scalar and fast runs must emit identical protocol event streams."""
+    """Reference and vectorized runs must emit identical protocol event
+    streams."""
 
     @pytest.mark.parametrize("algorithm", ["DKNN-P", "DKNN-B", "DKNN-G"])
     def test_identical_without_faults(self, algorithm):
-        scalar_events, scalar_answers = _traced_run(algorithm, fast=False)
-        fast_events, fast_answers = _traced_run(algorithm, fast=True)
+        scalar_events, scalar_answers = _traced_run(algorithm, reference=True)
+        fast_events, fast_answers = _traced_run(algorithm)
         assert fast_answers == scalar_answers
         assert _key(protocol_events(fast_events)) == _key(
             protocol_events(scalar_events)
@@ -99,11 +100,9 @@ class TestProtocolStreamBitIdentity:
     def test_identical_under_active_fault_plan(self, algorithm):
         plan = FAULT_PLANS[algorithm]
         scalar_events, scalar_answers = _traced_run(
-            algorithm, fast=False, faults=plan
+            algorithm, reference=True, faults=plan
         )
-        fast_events, fast_answers = _traced_run(
-            algorithm, fast=True, faults=plan
-        )
+        fast_events, fast_answers = _traced_run(algorithm, faults=plan)
         assert fast_answers == scalar_answers
         assert _key(protocol_events(fast_events)) == _key(
             protocol_events(scalar_events)
@@ -115,8 +114,8 @@ class TestProtocolStreamBitIdentity:
         )
 
     def test_fastpath_perf_events_only_on_fast_runs(self):
-        scalar_events, _ = _traced_run("DKNN-B", fast=False)
-        fast_events, _ = _traced_run("DKNN-B", fast=True)
+        scalar_events, _ = _traced_run("DKNN-B", reference=True)
+        fast_events, _ = _traced_run("DKNN-B")
         assert not [e for e in scalar_events if e.kind == "fastpath.candidates"]
         assert [e for e in fast_events if e.kind == "fastpath.candidates"]
 
@@ -251,7 +250,7 @@ class TestRunIntegration:
     def test_manifest_completeness(self, tmp_path):
         with recording() as runs:
             run_once(
-                RunConfig("DKNN-G", fast=True, params={"lease_ticks": 4}),
+                RunConfig("DKNN-G", params={"lease_ticks": 4}),
                 SPEC.but(warmup_ticks=2),
                 accuracy_every=0,
             )
@@ -265,7 +264,7 @@ class TestRunIntegration:
         assert doc["wall_seconds"] == 1.25
         run = doc["runs"][0]
         assert run["config"]["algorithm"] == "DKNN-G"
-        assert run["config"]["fast"] is True
+        assert "fast" not in run["config"]
         assert run["config"]["resolved_params"]["lease_ticks"] == 4
         assert run["spec"]["seed"] == SPEC.seed
         assert run["measurement"]["ticks_measured"] == SPEC.ticks - 2
@@ -276,7 +275,7 @@ class TestRunIntegration:
         sink = JsonlSink(path)
         tel = Telemetry(tracer=Tracer(sink))
         run_once(
-            RunConfig("DKNN-P", fast=True),
+            RunConfig("DKNN-P"),
             SPEC.but(warmup_ticks=2),
             accuracy_every=0,
             telemetry=tel,

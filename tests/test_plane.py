@@ -202,10 +202,10 @@ def _spec(n=300, ticks=22):
     )
 
 
-def _run(algorithm, fast, shards=None, shard_faults=None, telemetry=None,
-         n=300, ticks=22):
+def _run(algorithm, reference=False, shards=None, shard_faults=None,
+         telemetry=None, n=300, ticks=22):
     spec = _spec(n, ticks)
-    fleet, queries = build_workload(spec, fast=fast)
+    fleet, queries = build_workload(spec, reference=reference)
     shard = (
         None
         if shards is None and shard_faults is None
@@ -214,7 +214,6 @@ def _run(algorithm, fast, shards=None, shard_faults=None, telemetry=None,
     cfg = RunConfig(
         algorithm,
         record_history=True,
-        fast=fast,
         shard=shard,
     )
     sim = build_system(cfg, fleet, queries, telemetry=telemetry)
@@ -271,8 +270,8 @@ class TestBitIdentity:
     def test_columnar_fast_run_is_identical_and_actually_batches(
         self, algorithm
     ):
-        scalar = _run(algorithm, fast=False)
-        fast = _run(algorithm, fast=True)
+        scalar = _run(algorithm, reference=True)
+        fast = _run(algorithm)
         _assert_identical(fast, scalar)
         assert not scalar["columnar"]
         # the guard against a silently dead plane: the fast run must
@@ -282,8 +281,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("algorithm", ("DKNN-P", "CPM"))
     @pytest.mark.parametrize("shards", (1, 4))
     def test_sharded_tier_identity(self, algorithm, shards):
-        scalar = _run(algorithm, fast=False, shards=shards)
-        fast = _run(algorithm, fast=True, shards=shards)
+        scalar = _run(algorithm, reference=True, shards=shards)
+        fast = _run(algorithm, shards=shards)
         _assert_identical(fast, scalar)
         assert sum(fast["columnar"].values()) > 0
 
@@ -292,8 +291,10 @@ class TestBitIdentity:
         plan = ShardFaultPlan(
             seed=3, link_drop=0.05, crashes=((2, 8, 14),)
         )
-        scalar = _run(algorithm, fast=False, shards=4, shard_faults=plan)
-        fast = _run(algorithm, fast=True, shards=4, shard_faults=plan)
+        scalar = _run(
+            algorithm, reference=True, shards=4, shard_faults=plan
+        )
+        fast = _run(algorithm, shards=4, shard_faults=plan)
         _assert_identical(fast, scalar)
         # an active plan adjudicates faults per message: no batches.
         assert not fast["columnar"]
@@ -316,16 +317,18 @@ class TestTraceStreams:
         fast builds; every other kind must be byte-for-byte identical.
         """
         streams = {}
-        for fast in (False, True):
-            path = tmp_path / f"trace_{fast}.jsonl"
+        for reference in (True, False):
+            path = tmp_path / f"trace_{reference}.jsonl"
             tel = Telemetry(tracer=Tracer(JsonlSink(str(path))))
-            out = _run(algorithm, fast=fast, telemetry=tel, ticks=15)
+            out = _run(
+                algorithm, reference=reference, telemetry=tel, ticks=15
+            )
             tel.tracer.close()
             assert not out["columnar"]  # tracing vetoes the plane
             lines = path.read_text().strip().splitlines()
             assert lines
             events = [json.loads(line) for line in lines]
-            streams[fast] = [
+            streams[reference] = [
                 e for e in events if e["kind"] not in PERF_KINDS
             ]
         assert streams[True] == streams[False]

@@ -332,12 +332,12 @@ class TestHotspotDriftParity:
     def test_fast_and_scalar_answers_identical(self):
         spec = DRIFT.but(ticks=30)
         results = {}
-        for fast in (False, True):
-            cfg = RunConfig("DKNN-B", fast=fast, record_history=True)
-            fleet, queries = build_workload(spec)
+        for reference in (True, False):
+            cfg = RunConfig("DKNN-B", record_history=True)
+            fleet, queries = build_workload(spec, reference=reference)
             sim = build_system(cfg, fleet, queries)
             sim.run(spec.ticks)
-            results[fast] = {
+            results[reference] = {
                 q.qid: sim.server.answer_history[q.qid] for q in queries
             }
         assert results[True] == results[False]

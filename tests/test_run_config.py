@@ -73,14 +73,14 @@ class TestImmutability:
 
     def test_but_revalidates(self):
         cfg = RunConfig("DKNN-P")
-        faster = cfg.but(fast=True)
-        assert faster.fast and not cfg.fast
+        later = cfg.but(latency="one_tick")
+        assert later.latency == "one_tick" and cfg.latency == "zero"
         with pytest.raises(ExperimentError):
             cfg.but(params={"warp_factor": 9})
 
     def test_describe_is_json_safe(self):
         cfg = RunConfig(
-            "DKNN-G", fast=True, faults=FaultPlan(seed=3, drop_uplink=0.1),
+            "DKNN-G", faults=FaultPlan(seed=3, drop_uplink=0.1),
             params={"lease_ticks": 4},
         )
         doc = json.loads(json.dumps(cfg.describe()))
@@ -203,7 +203,7 @@ class TestShardField:
 
     def test_but_roundtrips(self):
         cfg = RunConfig("DKNN-P", shard=ShardConfig(shards=2))
-        copy = cfg.but(fast=True)
+        copy = cfg.but(record_history=True)
         assert copy.shard == cfg.shard
         swapped = cfg.but(shard=ShardConfig(shards=4))
         assert swapped.shard.shards == 4
